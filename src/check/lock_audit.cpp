@@ -40,7 +40,8 @@ LockAudit::ShadowTxn& LockAudit::shadow_of(const cc::CcTxn& txn) {
   ShadowTxn& shadow = txns_[txn.id.value];
   if (shadow.attempt != txn.attempt) {
     // A new attempt restarts the attempt-scoped state (two-phase rule,
-    // held set) even when the begin event was missed.
+    // held set, declared set) even when the begin event was missed.
+    forget(txn.id.value, shadow);
     shadow = ShadowTxn{};
     shadow.attempt = txn.attempt;
   }
@@ -48,25 +49,33 @@ LockAudit::ShadowTxn& LockAudit::shadow_of(const cc::CcTxn& txn) {
   return shadow;
 }
 
+LockAudit::ObjectIndex& LockAudit::index_of(db::ObjectId object) {
+  if (object >= objects_.size()) objects_.resize(std::size_t{object} + 1);
+  return objects_[object];
+}
+
 void LockAudit::on_txn_begin(const cc::CcTxn& txn) {
   monitor_.record({{}, "begin", txn.id.value, txn.attempt, 0, 0});
-  ShadowTxn fresh;
-  fresh.attempt = txn.attempt;
-  fresh.base = txn.base_priority;
-  fresh.began = true;
-  if (family_ == ProtocolFamily::kCeiling) {
-    const auto ops = txn.access.operations();
-    fresh.declared.assign(ops.begin(), ops.end());
+  ShadowTxn& shadow = txns_[txn.id.value];
+  forget(txn.id.value, shadow);
+  shadow = ShadowTxn{};
+  shadow.attempt = txn.attempt;
+  shadow.base = txn.base_priority;
+  if (family_ != ProtocolFamily::kCeiling) return;
+  for (const cc::Operation& op : txn.access.operations()) {
+    index_of(op.object).declarers.push_back(
+        {&shadow, op.mode == cc::LockMode::kWrite});
+    shadow.declared.push_back(op.object);
   }
-  txns_[txn.id.value] = std::move(fresh);
 }
 
 void LockAudit::on_txn_end(const cc::CcTxn& txn) {
   monitor_.record({{}, "end", txn.id.value, txn.attempt, 0, 0});
   auto it = txns_.find(txn.id.value);
   if (it != txns_.end()) {
-    close_inversion(txn.id.value, it->second);
+    close_inversion(it->second);
     close_wait(txn, it->second);
+    forget(txn.id.value, it->second);
     txns_.erase(it);
   }
   graph_.remove(txn.id.value);
@@ -84,7 +93,7 @@ void LockAudit::on_grant(const cc::CcTxn& txn, db::ObjectId object,
   check_two_phase(txn, shadow, object);
   if (family_ == ProtocolFamily::kCeiling) check_ceiling_grant(txn, object);
   check_compat(txn, object, mode, "granted");
-  install(shadow, object, mode);
+  install(txn.id.value, shadow, object, mode);
 }
 
 void LockAudit::on_adopt(const cc::CcTxn& txn, db::ObjectId object,
@@ -100,7 +109,7 @@ void LockAudit::on_adopt(const cc::CcTxn& txn, db::ObjectId object,
   // be single-writer ("orphan-lock adoption leaves no double owner").
   ShadowTxn& shadow = shadow_of(txn);
   check_compat(txn, object, mode, "adopted");
-  install(shadow, object, mode);
+  install(txn.id.value, shadow, object, mode);
 }
 
 void LockAudit::on_block(const cc::CcTxn& txn, db::ObjectId object,
@@ -185,7 +194,7 @@ void LockAudit::on_unblock(const cc::CcTxn& txn) {
   graph_.clear_waiter(txn.id.value);
   auto it = txns_.find(txn.id.value);
   if (it != txns_.end()) {
-    close_inversion(txn.id.value, it->second);
+    close_inversion(it->second);
     close_wait(txn, it->second);
   }
 }
@@ -193,7 +202,7 @@ void LockAudit::on_unblock(const cc::CcTxn& txn) {
 void LockAudit::on_release_all(const cc::CcTxn& txn) {
   monitor_.record({{}, "release", txn.id.value, txn.attempt, 0, 0});
   ShadowTxn& shadow = shadow_of(txn);
-  shadow.held.clear();
+  drop_held(txn.id.value, shadow);
   shadow.released = true;
 }
 
@@ -208,12 +217,57 @@ void LockAudit::on_abort(db::TxnId victim, cc::AbortReason reason) {
   // itself only needs to land in the trace.
 }
 
-void LockAudit::install(ShadowTxn& shadow, db::ObjectId object,
-                        cc::LockMode mode) {
-  auto [it, inserted] = shadow.held.try_emplace(object, mode);
-  if (!inserted && mode == cc::LockMode::kWrite) {
-    it->second = cc::LockMode::kWrite;  // upgrade; a write covers the read
+void LockAudit::install(std::uint64_t txn, ShadowTxn& shadow,
+                        db::ObjectId object, cc::LockMode mode) {
+  ObjectIndex& entry = index_of(object);
+  for (HeldLock& held : shadow.held) {
+    if (held.object != object) continue;
+    if (mode == cc::LockMode::kWrite) {
+      held.mode = cc::LockMode::kWrite;  // upgrade; a write covers the read
+      for (Holder& holder : entry.holders) {
+        if (holder.txn == txn) holder.mode = cc::LockMode::kWrite;
+      }
+    }
+    return;
   }
+  shadow.held.push_back({object, mode});
+  auto pos = entry.holders.begin();
+  while (pos != entry.holders.end() && pos->txn < txn) ++pos;
+  entry.holders.insert(pos, {txn, mode});
+  if (entry.locked_slot == kNotLocked) {
+    entry.locked_slot = static_cast<std::uint32_t>(locked_.size());
+    locked_.push_back(object);
+  }
+}
+
+void LockAudit::drop_held(std::uint64_t txn, ShadowTxn& shadow) {
+  for (const HeldLock& held : shadow.held) {
+    ObjectIndex& entry = objects_[held.object];
+    std::erase_if(entry.holders,
+                  [txn](const Holder& holder) { return holder.txn == txn; });
+    if (!entry.holders.empty()) continue;
+    // Swap-remove from the locked list, re-pointing the moved object.
+    const db::ObjectId moved = locked_.back();
+    locked_[entry.locked_slot] = moved;
+    objects_[moved].locked_slot = entry.locked_slot;
+    locked_.pop_back();
+    entry.locked_slot = kNotLocked;
+  }
+  shadow.held.clear();
+}
+
+void LockAudit::forget(std::uint64_t txn, ShadowTxn& shadow) {
+  drop_held(txn, shadow);
+  for (const db::ObjectId object : shadow.declared) {
+    std::vector<Declarer>& declarers = objects_[object].declarers;
+    for (Declarer& declarer : declarers) {
+      if (declarer.shadow != &shadow) continue;
+      declarer = declarers.back();
+      declarers.pop_back();
+      break;
+    }
+  }
+  shadow.declared.clear();
 }
 
 void LockAudit::check_two_phase(const cc::CcTxn& txn, const ShadowTxn& shadow,
@@ -228,79 +282,48 @@ void LockAudit::check_two_phase(const cc::CcTxn& txn, const ShadowTxn& shadow,
 
 void LockAudit::check_compat(const cc::CcTxn& txn, db::ObjectId object,
                              cc::LockMode mode, const char* how) {
-  for (const auto& [id, other] : txns_) {
-    if (id == txn.id.value) continue;
-    auto held = other.held.find(object);
-    if (held == other.held.end()) continue;
-    if (mode == cc::LockMode::kRead && held->second == cc::LockMode::kRead) {
+  for (const Holder& holder : index_of(object).holders) {
+    if (holder.txn == txn.id.value) continue;
+    if (mode == cc::LockMode::kRead && holder.mode == cc::LockMode::kRead) {
       continue;  // read-read is the one compatible pair
     }
     std::ostringstream detail;
     detail << "txn " << txn.id.value << "/" << txn.attempt << " " << how
            << " a " << cc::to_string(mode) << " lock on object " << object
-           << " already " << cc::to_string(held->second) << "-held by txn "
-           << id;
+           << " already " << cc::to_string(holder.mode) << "-held by txn "
+           << holder.txn;
     monitor_.report("lock.conflict", detail.str());
   }
-}
-
-sim::Priority LockAudit::declared_abs_ceiling(db::ObjectId object) const {
-  sim::Priority ceiling = sim::Priority::lowest();
-  for (const auto& [id, shadow] : txns_) {
-    (void)id;
-    if (!shadow.began) continue;
-    for (const cc::Operation& op : shadow.declared) {
-      if (op.object != object) continue;
-      ceiling = sim::Priority::stronger(ceiling, shadow.base);
-      break;
-    }
-  }
-  return ceiling;
-}
-
-sim::Priority LockAudit::declared_write_ceiling(db::ObjectId object) const {
-  sim::Priority ceiling = sim::Priority::lowest();
-  for (const auto& [id, shadow] : txns_) {
-    (void)id;
-    if (!shadow.began) continue;
-    for (const cc::Operation& op : shadow.declared) {
-      if (op.object != object || op.mode != cc::LockMode::kWrite) continue;
-      ceiling = sim::Priority::stronger(ceiling, shadow.base);
-      break;
-    }
-  }
-  return ceiling;
 }
 
 void LockAudit::check_ceiling_grant(const cc::CcTxn& txn, db::ObjectId object) {
   // Exact replay of PriorityCeiling::can_grant against the shadow state:
   // the grant is legal iff the requester's *base* priority is strictly
   // higher than the strongest rw-ceiling among locks held (at least
-  // partly) by other transactions.
-  struct LockedObject {
-    bool write_locked = false;
-    bool held_by_other = false;
-  };
-  std::map<db::ObjectId, LockedObject> locked;
-  for (const auto& [id, shadow] : txns_) {
-    for (const auto& [held_object, held_mode] : shadow.held) {
-      LockedObject& entry = locked[held_object];
-      if (held_mode == cc::LockMode::kWrite) entry.write_locked = true;
-      if (id != txn.id.value) entry.held_by_other = true;
-    }
-  }
+  // partly) by other transactions. Ties name the lowest object id.
   bool blocked = false;
   sim::Priority strongest = sim::Priority::lowest();
   db::ObjectId blocking_object = 0;
-  for (const auto& [locked_object, entry] : locked) {
-    if (!entry.held_by_other) continue;
+  for (const db::ObjectId locked_object : locked_) {
+    const ObjectIndex& entry = objects_[locked_object];
+    bool held_by_other = false;
+    bool write_locked = false;
+    for (const Holder& holder : entry.holders) {
+      if (holder.txn != txn.id.value) held_by_other = true;
+      if (holder.mode == cc::LockMode::kWrite) write_locked = true;
+    }
+    if (!held_by_other) continue;
     // "When a data object is write-locked, the rw-priority ceiling ... is
     // equal to the absolute priority ceiling. When it is read-locked ...
-    // equal to the write-priority ceiling."
-    const sim::Priority ceiling = entry.write_locked
-                                      ? declared_abs_ceiling(locked_object)
-                                      : declared_write_ceiling(locked_object);
-    if (!blocked || ceiling.higher_than(strongest)) {
+    // equal to the write-priority ceiling." Both are the strongest base
+    // among the began transactions that declared the object (for writing).
+    sim::Priority ceiling = sim::Priority::lowest();
+    for (const Declarer& declarer : entry.declarers) {
+      if (!write_locked && !declarer.may_write) continue;
+      ceiling = sim::Priority::stronger(ceiling, declarer.shadow->base);
+    }
+    if (!blocked || ceiling.higher_than(strongest) ||
+        (ceiling == strongest && locked_object < blocking_object)) {
       strongest = ceiling;
       blocking_object = locked_object;
     }
@@ -315,8 +338,7 @@ void LockAudit::check_ceiling_grant(const cc::CcTxn& txn, db::ObjectId object) {
   monitor_.report("pcp.grant_rule", detail.str());
 }
 
-void LockAudit::close_inversion(std::uint64_t txn, ShadowTxn& shadow) {
-  (void)txn;
+void LockAudit::close_inversion(ShadowTxn& shadow) {
   if (!shadow.inversion) return;
   shadow.inversion = false;
   monitor_.note_inversion(monitor_.now() - shadow.inversion_start);

@@ -30,8 +30,8 @@ const char* to_string(ProtocolFamily family);
 
 // Online audit of one lock-based ConcurrencyController. Maintains a shadow
 // of the held-lock sets, the live wait-for graph, and — for the ceiling
-// family — the per-object ceilings recomputed from the declared sets of
-// the active transactions, and checks every observed event against the
+// family — the per-object ceilings derived from the declared sets of the
+// active transactions, and checks every observed event against the
 // family's invariants:
 //   * two-phase rule: no grant after the attempt's release_all
 //   * compatibility: a write grant admits no second holder; a read grant
@@ -60,12 +60,18 @@ class LockAudit final : public cc::CcObserver {
                 cc::LockMode mode) override;
 
  private:
+  struct HeldLock {
+    db::ObjectId object;
+    cc::LockMode mode;
+  };
   struct ShadowTxn {
     std::uint32_t attempt = 0;
     sim::Priority base{};
-    std::vector<cc::Operation> declared;  // ceiling family only
-    std::map<db::ObjectId, cc::LockMode> held;
-    bool began = false;     // counted into the ceiling computation
+    // Objects this attempt declared at begin (ceiling family only); each
+    // has a Declarer entry in its ObjectIndex. Empty for an attempt whose
+    // begin was not seen, which therefore adds to no ceiling.
+    std::vector<db::ObjectId> declared;
+    std::vector<HeldLock> held;  // each object once; mirrored by a Holder
     bool released = false;  // release_all seen for this attempt
     bool inversion = false;
     sim::TimePoint inversion_start{};
@@ -74,27 +80,50 @@ class LockAudit final : public cc::CcObserver {
     bool waiting = false;
     sim::TimePoint wait_start{};
   };
+  struct Holder {
+    std::uint64_t txn;
+    cc::LockMode mode;
+  };
+  struct Declarer {
+    const ShadowTxn* shadow;  // read for its current base priority
+    bool may_write;
+  };
+  // The audit's own per-object index over the shadow state: kept in step
+  // with every held/declared change, so a grant reads one object's holders
+  // and the ceiling check walks only the locked objects.
+  struct ObjectIndex {
+    std::vector<Holder> holders;  // ascending txn id (report order)
+    std::vector<Declarer> declarers;
+    std::uint32_t locked_slot = kNotLocked;  // position in locked_
+  };
+  static constexpr std::uint32_t kNotLocked = UINT32_MAX;
 
   ShadowTxn& shadow_of(const cc::CcTxn& txn);
-  void install(ShadowTxn& shadow, db::ObjectId object, cc::LockMode mode);
+  ObjectIndex& index_of(db::ObjectId object);
+  void install(std::uint64_t txn, ShadowTxn& shadow, db::ObjectId object,
+               cc::LockMode mode);
+  // Drops the shadow's locks (drop_held) or everything it contributes to
+  // the index (forget) before the shadow is cleared or erased.
+  void drop_held(std::uint64_t txn, ShadowTxn& shadow);
+  void forget(std::uint64_t txn, ShadowTxn& shadow);
   void check_two_phase(const cc::CcTxn& txn, const ShadowTxn& shadow,
                        db::ObjectId object);
   void check_compat(const cc::CcTxn& txn, db::ObjectId object,
                     cc::LockMode mode, const char* how);
   void check_ceiling_grant(const cc::CcTxn& txn, db::ObjectId object);
-  // The declared-set ceilings of `object`, recomputed from the active
-  // shadow transactions (exactly refresh_static_ceilings' definition).
-  sim::Priority declared_abs_ceiling(db::ObjectId object) const;
-  sim::Priority declared_write_ceiling(db::ObjectId object) const;
-  void close_inversion(std::uint64_t txn, ShadowTxn& shadow);
+  void close_inversion(ShadowTxn& shadow);
   void close_wait(const cc::CcTxn& txn, ShadowTxn& shadow);
 
   ConformanceMonitor& monitor_;
   ProtocolFamily family_;
   WaitGraph graph_;
-  // Keyed by TxnId value; std::map keeps every audit iteration (and thus
-  // every report) deterministic.
+  // Keyed by TxnId value. Node-based, so the Declarer pointers into it
+  // stay valid until the shadow is forgotten and erased.
   std::map<std::uint64_t, ShadowTxn> txns_;
+  // Indexed by ObjectId: object ids are dense database indexes, so the
+  // table grows to the database size and no further.
+  std::vector<ObjectIndex> objects_;
+  std::vector<db::ObjectId> locked_;  // objects with at least one holder
 };
 
 }  // namespace rtdb::check

@@ -3,13 +3,42 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <cstdlib>
 #include <thread>
 
 #include "exp/progress.hpp"
 
 namespace rtdb::exp {
 
+std::optional<std::string> check_fault_sites(const SweepSpec& spec,
+                                             const Options& opts) {
+  auto out_of_range = [](const char* flag, net::SiteId site,
+                         std::uint32_t sites) {
+    return std::string{flag} + ": site " + std::to_string(site) +
+           " does not exist in a " + std::to_string(sites) +
+           "-site cell (site ids are 0.." + std::to_string(sites - 1) + ")";
+  };
+  for (const Cell& cell : spec.cells) {
+    const std::uint32_t sites = opts.sites.value_or(cell.config.sites);
+    for (const net::FaultSpec::Crash& crash : opts.crashes) {
+      if (crash.site >= sites) {
+        return out_of_range("--crash-at", crash.site, sites);
+      }
+    }
+    for (const net::FaultSpec::Partition& partition : opts.partitions) {
+      for (const net::SiteId site : partition.group) {
+        if (site >= sites) return out_of_range("--partition", site, sites);
+      }
+    }
+  }
+  return std::nullopt;
+}
+
 SweepResult run_sweep(const SweepSpec& spec, const Options& opts) {
+  if (const auto error = check_fault_sites(spec, opts)) {
+    std::fprintf(stderr, "%s: %s\n", spec.name.c_str(), error->c_str());
+    std::exit(2);
+  }
   const int runs = std::max(1, opts.runs.value_or(spec.default_runs));
   const std::size_t n_cells = spec.cells.size();
   const std::size_t total = n_cells * static_cast<std::size_t>(runs);

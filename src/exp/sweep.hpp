@@ -10,6 +10,7 @@
 // (spec, runs, base seed): `--jobs N` is byte-identical to `--jobs 1`.
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
 #include <utility>
@@ -95,6 +96,14 @@ struct SweepResult {
 // opts.effective_jobs() workers, and reports progress to stderr unless
 // opts.quiet. Deterministic: the result depends only on (spec, runs,
 // seed), never on the worker count or scheduling.
+// Before any run starts, also checks the CLI's fault sites against every
+// cell: a --crash-at or --partition site id a cell does not have is a
+// usage error, reported on stderr with exit status 2 (as a bad flag is).
 SweepResult run_sweep(const SweepSpec& spec, const Options& opts);
+
+// That check on its own: the message naming the flag and the first
+// out-of-range site, or nullopt when every cell has every named site.
+std::optional<std::string> check_fault_sites(const SweepSpec& spec,
+                                             const Options& opts);
 
 }  // namespace rtdb::exp

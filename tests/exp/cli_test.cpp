@@ -4,6 +4,8 @@
 
 #include <vector>
 
+#include "exp/sweep.hpp"
+
 namespace rtdb::exp {
 namespace {
 
@@ -128,6 +130,31 @@ TEST(CliTest, RejectsNonPositiveArrivalRate) {
   EXPECT_TRUE(parse_fails({"--arrival-rate", "0"}));
   EXPECT_TRUE(parse_fails({"--arrival-rate", "-2"}));
   EXPECT_TRUE(parse_fails({"--arrival-rate", "fast"}));
+}
+
+TEST(CliTest, FaultSitesMustExistInEveryCell) {
+  SweepSpec spec;
+  core::SystemConfig small;
+  small.sites = 2;
+  core::SystemConfig large;
+  large.sites = 8;
+  spec.add_cell({{"sites", "2"}}, small);
+  spec.add_cell({{"sites", "8"}}, large);
+
+  EXPECT_FALSE(check_fault_sites(spec, parse_ok({"--crash-at", "1:10",
+                                                 "--partition", "0+1:5"})));
+  const auto crash = check_fault_sites(spec, parse_ok({"--crash-at", "5:10"}));
+  ASSERT_TRUE(crash.has_value());
+  EXPECT_EQ(*crash,
+            "--crash-at: site 5 does not exist in a 2-site cell (site ids "
+            "are 0..1)");
+  const auto partition =
+      check_fault_sites(spec, parse_ok({"--partition", "1+9:10"}));
+  ASSERT_TRUE(partition.has_value());
+  EXPECT_NE(partition->find("--partition: site 9"), std::string::npos);
+  // --sites overlays every cell, so it decides the range.
+  EXPECT_FALSE(check_fault_sites(
+      spec, parse_ok({"--sites", "16", "--crash-at", "12:10"})));
 }
 
 }  // namespace
